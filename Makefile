@@ -105,12 +105,49 @@ bench-diff:
 # engine), the batch-vs-scalar differential across every matchlist
 # kind, the pooled bit-identity checks, the daemon batch-frame parity
 # tests, and a one-iteration benchmark smoke so the suite can't rot.
+# It also holds the cache model's own hot path: 0 allocs per Access
+# at every serving level and per attributed eviction with the PMU
+# sampling and residency tracking on, 0 allocs per profiler sample, and
+# a one-iteration smoke of BenchmarkHierarchyAccess.
 .PHONY: hotpath-gate
 hotpath-gate:
 	go test ./internal/engine/ -run 'ZeroAlloc|BatchMatchesScalar|PoolingIsBitIdentical|PoolStats'
 	go test ./internal/daemon/ -run 'Batch'
 	go test ./internal/mpi/ -run 'Wire'
+	go test ./internal/cache/ ./internal/perf/ -run 'ZeroAlloc'
 	go test -run='^$$' -bench='BenchmarkHotPath' -benchtime=1x -benchmem .
+	go test -run='^$$' -bench='BenchmarkHierarchyAccess' -benchtime=1x -benchmem ./internal/cache/
+
+# sim-gate holds the simulator's modeled results still while its host
+# cost changes. Three goldens recorded before the cache model's hit
+# fast path must reproduce byte for byte: the -quick output of the 21
+# scheduler-independent experiments, a digest of cycles + cache.Stats +
+# every PMU counter + profiler samples + eviction matrix over seeded
+# streams on every profile variant, and the (addr, size) sequence the
+# LLA reports to its accessor. Beside them run the K=8 fill arithmetic
+# held through counters, the detached-instrument / pooling /
+# batch-vs-scalar bit-identity differentials, the telemetry exporter
+# goldens and the paper-shape claims.
+.PHONY: sim-gate
+sim-gate:
+	go test -count=1 ./internal/cache/ ./internal/matchlist/ -run 'SimGate'
+	go test -count=1 ./internal/engine/ -run 'K8|DisabledIsBitIdentical|PoolingIsBitIdentical|BatchMatchesScalar|PublishEvictionMatrix'
+	go test -count=1 ./internal/telemetry/ -run 'Golden|Deterministic'
+	go test -count=1 ./internal/experiments/ -run 'SimGate|Fig4bShape|HotCacheSignFlip|NetCacheClaims'
+
+# bench-quick smoke-runs every workload of the repository benchmark
+# (BENCHMARK.json, bench/) with its full verification; the numbers of a
+# -quick run are not comparable. bench-agree runs every workload twice,
+# interleaved, and fails when an end-to-end metric disagrees with
+# itself beyond its bound (~4 min): run it before and after a change
+# that claims a gain.
+.PHONY: bench-quick
+bench-quick:
+	go run ./bench -workload all -quick
+
+.PHONY: bench-agree
+bench-agree:
+	go run ./bench -agree
 
 # shard-gate is the sharded daemon's CI gate: the sharded-vs-dedicated
 # per-context differential across all seven matchlist kinds, the credit

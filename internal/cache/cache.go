@@ -215,24 +215,52 @@ func (s Stats) Sub(o Stats) Stats {
 	}
 }
 
-// wayEntry is one cache way.
-type wayEntry struct {
-	line       uint64
-	valid      bool
-	lastUse    uint64
-	prefetched bool // filled by a prefetcher, no demand hit yet
-}
+// noLine is the line number no access can have (addresses are below
+// 2^64, so lines are below 2^58): an empty way's tag, and a core's
+// lastLine when it has none.
+const noLine = ^uint64(0)
 
 // evictHook observes a capacity eviction: a fill of incoming displaced
 // victim. The prefetched bits report how the incoming line is being
 // filled and whether the victim was an unused prefetch.
 type evictHook func(incoming, victim uint64, incomingPrefetched, victimPrefetched bool)
 
+// indexMode is how a level maps a line to its set, fixed at construction.
+type indexMode uint8
+
+const (
+	indexMask indexMode = iota // power-of-two set count: the line's low bits
+	indexMod                   // any other set count
+	indexHash                  // LevelConfig.HashIndex
+)
+
 // level is a true-LRU set-associative cache.
 type level struct {
-	cfg  LevelConfig
-	sets [][]wayEntry
-	mask uint64
+	ways  int
+	nsets uint64
+	mode  indexMode
+
+	// The ways of every allocated set, back to back, one array per
+	// field so that the tag search reads 8 bytes a way: lines holds the
+	// tags (noLine = empty way), lastUse the LRU stamps, prefetched the
+	// "filled by a prefetcher, no demand hit yet" bits. base[s] is the
+	// index of set s's first way. A set is allocated on its first fill,
+	// so a large L3 (16 K sets) costs 4 bytes a set until used, which
+	// keeps per-rank hierarchies affordable when application studies
+	// instantiate hundreds of engines. Until then base[s] is 0: ways
+	// [0, ways) are a shared set that stays empty, so lookups need no
+	// "allocated?" branch.
+	base       []uint32
+	lines      []uint64
+	lastUse    []uint64
+	prefetched []bool
+
+	// mru is the index of the way the latest demand hit or demand fill
+	// used. It is only a hint: find verifies it against the tag before
+	// trusting it, so a stale value costs a set walk, never a wrong
+	// answer.
+	mru uint32
+
 	tick uint64
 
 	// onEvict, when set, observes capacity evictions. Nil unless the
@@ -246,101 +274,139 @@ func newLevel(cfg LevelConfig) *level {
 	if n == 0 {
 		return nil
 	}
-	// Sets are allocated lazily on first touch: a large L3 (16 K sets)
-	// costs only slice headers until used, which keeps per-rank
-	// hierarchies affordable when application studies instantiate
-	// hundreds of engines.
-	return &level{cfg: cfg, sets: make([][]wayEntry, n), mask: uint64(n - 1)}
+	l := &level{ways: cfg.Ways, nsets: uint64(n), mode: indexMod, base: make([]uint32, n)}
+	switch {
+	case cfg.HashIndex:
+		l.mode = indexHash
+	case n&(n-1) == 0:
+		l.mode = indexMask
+	}
+	l.allocSet() // the shared empty set
+	return l
 }
 
-// set returns the ways of the set holding line, allocating on demand.
-func (l *level) set(line uint64) []wayEntry {
-	i := l.setIndex(line)
-	if l.sets[i] == nil {
-		l.sets[i] = make([]wayEntry, l.cfg.Ways)
+// allocSet appends one empty set and returns the index of its first way.
+func (l *level) allocSet() int {
+	b := len(l.lines)
+	for i := 0; i < l.ways; i++ {
+		l.lines = append(l.lines, noLine)
 	}
-	return l.sets[i]
+	l.lastUse = append(l.lastUse, make([]uint64, l.ways)...)
+	l.prefetched = append(l.prefetched, make([]bool, l.ways)...)
+	return b
 }
 
 func (l *level) setIndex(line uint64) uint64 {
-	if l.cfg.HashIndex {
+	switch l.mode {
+	case indexMask:
+		return line & (l.nsets - 1)
+	case indexHash:
 		h := line * 0x9E3779B97F4A7C15
 		h ^= h >> 29
-		return h % uint64(len(l.sets))
+		return h % l.nsets
 	}
-	if l.mask == uint64(len(l.sets)-1) && (uint64(len(l.sets))&uint64(len(l.sets)-1)) == 0 {
-		return line & l.mask
-	}
-	return line % uint64(len(l.sets))
+	return line % l.nsets
 }
 
-// lookup reports whether line is present. When touch is true a hit
-// refreshes LRU state and clears the prefetched bit, returning whether
-// the line had been brought in by a prefetcher.
-func (l *level) lookup(line uint64, touch bool) (hit, wasPrefetch bool) {
-	set := l.sets[l.setIndex(line)]
-	if set == nil {
-		return false, false
+// find returns the index of the way holding line, or -1.
+func (l *level) find(line uint64) int {
+	if l.lines[l.mru] == line {
+		return int(l.mru)
 	}
-	for i := range set {
-		if set[i].valid && set[i].line == line {
-			if touch {
-				l.tick++
-				set[i].lastUse = l.tick
-				wasPrefetch = set[i].prefetched
-				set[i].prefetched = false
-			}
-			return true, wasPrefetch
+	b := int(l.base[l.setIndex(line)])
+	for i, tag := range l.lines[b : b+l.ways] {
+		if tag == line {
+			return b + i
 		}
 	}
-	return false, false
+	return -1
 }
+
+// touch is a demand hit on way i: it refreshes LRU state and clears the
+// prefetched bit, returning whether the line had been brought in by a
+// prefetcher.
+func (l *level) touch(i int) (wasPrefetch bool) {
+	l.tick++
+	l.lastUse[i] = l.tick
+	wasPrefetch = l.prefetched[i]
+	l.prefetched[i] = false
+	l.mru = uint32(i)
+	return wasPrefetch
+}
+
+// lookup is a demand access: on a hit it touches the line.
+func (l *level) lookup(line uint64) (hit, wasPrefetch bool) {
+	i := l.find(line)
+	if i < 0 {
+		return false, false
+	}
+	return true, l.touch(i)
+}
+
+// contains is a non-mutating presence probe (prefetcher filters, the
+// heater, residency scans, tests).
+func (l *level) contains(line uint64) bool { return l.find(line) >= 0 }
 
 // insert fills line, evicting the LRU way if the set is full.
 func (l *level) insert(line uint64, prefetched bool) {
-	l.insertRange(line, prefetched, 0, l.cfg.Ways)
+	l.insertRange(line, prefetched, 0, l.ways)
 }
 
 // insertRange fills line using only ways [lo, hi) for allocation (the
 // partitioning primitive); a line already present anywhere in the set
 // is refreshed in place.
 func (l *level) insertRange(line uint64, prefetched bool, lo, hi int) {
-	set := l.set(line)
-	l.tick++
-	for i := range set {
-		if set[i].valid && set[i].line == line {
-			// Already present: refresh.
-			set[i].lastUse = l.tick
-			if !prefetched {
-				set[i].prefetched = false
-			}
-			return
-		}
+	s := l.setIndex(line)
+	b := int(l.base[s])
+	if b == 0 {
+		b = l.allocSet()
+		l.base[s] = uint32(b)
 	}
-	victim := lo
-	for i := lo; i < hi; i++ {
-		if !set[i].valid {
-			victim = i
+	l.tick++
+	tags := l.lines[b : b+l.ways]
+	way := -1
+	for i, tag := range tags {
+		if tag == line {
+			way = i
 			break
 		}
-		if set[i].lastUse < set[victim].lastUse {
-			victim = i
+	}
+	if way >= 0 {
+		// Already present: refresh.
+		if !prefetched {
+			l.prefetched[b+way] = false
 		}
+	} else {
+		// The first empty way, else the least recently used one.
+		way = lo
+		used := l.lastUse[b : b+l.ways]
+		for i := lo; i < hi; i++ {
+			if tags[i] == noLine {
+				way = i
+				break
+			}
+			if used[i] < used[way] {
+				way = i
+			}
+		}
+		if l.onEvict != nil && tags[way] != noLine {
+			l.onEvict(line, tags[way], prefetched, l.prefetched[b+way])
+		}
+		tags[way] = line
+		l.prefetched[b+way] = prefetched
 	}
-	if l.onEvict != nil && set[victim].valid {
-		l.onEvict(line, set[victim].line, prefetched, set[victim].prefetched)
+	l.lastUse[b+way] = l.tick
+	if !prefetched {
+		l.mru = uint32(b + way)
 	}
-	set[victim] = wayEntry{line: line, valid: true, lastUse: l.tick, prefetched: prefetched}
 }
 
-// forEachValid visits every valid line in the level (allocated sets
-// only). Used by residency tracking's flush attribution.
+// forEachValid visits every valid line in the level. Used by residency
+// tracking's flush attribution.
 func (l *level) forEachValid(fn func(line uint64)) {
-	for _, set := range l.sets {
-		for i := range set {
-			if set[i].valid {
-				fn(set[i].line)
-			}
+	for _, tag := range l.lines {
+		if tag != noLine {
+			fn(tag)
 		}
 	}
 }
@@ -349,11 +415,11 @@ func (l *level) forEachValid(fn func(line uint64)) {
 // set and how many of them are unused prefetches. Used by the probe's
 // flush accounting; non-mutating.
 func (l *level) countValid(fromWay int) (valid, prefetched uint64) {
-	for _, set := range l.sets {
-		for i := fromWay; i < len(set); i++ {
-			if set[i].valid {
+	for b := 0; b < len(l.lines); b += l.ways {
+		for i := b + fromWay; i < b+l.ways; i++ {
+			if l.lines[i] != noLine {
 				valid++
-				if set[i].prefetched {
+				if l.prefetched[i] {
 					prefetched++
 				}
 			}
@@ -365,40 +431,22 @@ func (l *level) countValid(fromWay int) (valid, prefetched uint64) {
 // flushWaysFrom invalidates ways [lo, Ways) of every set, leaving the
 // reserved partition [0, lo) intact.
 func (l *level) flushWaysFrom(lo int) {
-	for _, set := range l.sets {
-		for i := lo; i < len(set); i++ {
-			set[i].valid = false
+	for b := 0; b < len(l.lines); b += l.ways {
+		tags := l.lines[b+lo : b+l.ways]
+		for i := range tags {
+			tags[i] = noLine
 		}
 	}
 }
 
 // evict drops line if present.
 func (l *level) evict(line uint64) {
-	set := l.sets[l.setIndex(line)]
-	if set == nil {
-		return
-	}
-	for i := range set {
-		if set[i].valid && set[i].line == line {
-			set[i].valid = false
-			return
-		}
+	if i := l.find(line); i >= 0 {
+		l.lines[i] = noLine
 	}
 }
 
-func (l *level) flush() {
-	for _, set := range l.sets {
-		for i := range set {
-			set[i].valid = false
-		}
-	}
-}
-
-// contains is a non-mutating presence probe (for tests and the heater).
-func (l *level) contains(line uint64) bool {
-	hit, _ := l.lookup(line, false)
-	return hit
-}
+func (l *level) flush() { l.flushWaysFrom(0) }
 
 // streamState tracks the L2 streamer's view of one 4 KiB page.
 type streamState struct {
@@ -412,21 +460,43 @@ type streamState struct {
 // real streamer keeps (we model 16 entries, LRU-replaced).
 const streamTrackers = 16
 
+// tlbEntry is one cached page translation.
+type tlbEntry struct {
+	page    uint64
+	valid   bool
+	lastUse uint64
+}
+
+// coreState is one core's private storage: its L1 and L2, its streamer
+// trackers and its TLB (nil when the model is off).
+type coreState struct {
+	l1, l2   *level
+	trackers []streamState
+	tlb      []tlbEntry
+
+	// lastLine is the line of the core's latest demand access, noLine
+	// after a flush. While it is set, trackers[trkMRU] and tlb[tlbMRU]
+	// are the entries of that line's page: only this core's demand
+	// accesses and the flushes change either table, the former end by
+	// setting all three, the latter clear lastLine. accessLine leans on
+	// this to model a repeat of lastLine without searching anything.
+	lastLine uint64
+	trkMRU   int
+	tlbMRU   int
+}
+
 // Hierarchy is the full simulated memory system.
 type Hierarchy struct {
-	prof Profile
-	l1   []*level // per core
-	l2   []*level // per core
-	l3   *level   // shared; nil if absent
+	prof  Profile
+	cores []coreState
+	l3    *level // shared; nil if absent
 
 	// The dedicated network cache (nil unless the profile configures
 	// one) and the regions whose lines it serves.
 	nc        *level
 	netRegion simmem.RegionSet
 
-	streams [][]streamState // per core
-	tlbs    [][]tlbEntry    // per core (empty when the model is off)
-	tick    uint64
+	tick uint64
 
 	heaterActive bool
 	stats        Stats
@@ -437,17 +507,11 @@ type Hierarchy struct {
 
 	// Residency tracking (see residency.go). All zero-valued and
 	// inert until EnableResidencyTracking.
-	resTrack  bool
-	owners    []ownedRegion // sorted by region base
-	evictions map[EvictionKey]uint64
-	agent     string // non-demand insert agent (AgentHeater) in flight
-}
-
-// tlbEntry is one cached page translation.
-type tlbEntry struct {
-	page    uint64
-	valid   bool
-	lastUse uint64
+	resTrack   bool
+	owners     []ownedRegion // sorted by region base, disjoint
+	ownerMemo  [2]int        // see ownerOf
+	evict      evictMatrix
+	heaterFill bool // the insert in flight is a heater touch, not a demand or prefetch fill
 }
 
 // New builds a hierarchy from a validated profile. It panics on an
@@ -457,41 +521,40 @@ func New(prof Profile) *Hierarchy {
 	if err := prof.Validate(); err != nil {
 		panic("cache: " + err.Error())
 	}
-	h := &Hierarchy{prof: prof}
-	h.l1 = make([]*level, prof.Cores)
-	h.l2 = make([]*level, prof.Cores)
-	for c := 0; c < prof.Cores; c++ {
-		h.l1[c] = newLevel(prof.L1)
-		h.l2[c] = newLevel(prof.L2)
+	h := &Hierarchy{prof: prof, cores: make([]coreState, prof.Cores)}
+	for c := range h.cores {
+		cs := &h.cores[c]
+		cs.l1 = newLevel(prof.L1)
+		cs.l2 = newLevel(prof.L2)
+		cs.trackers = make([]streamState, 0, streamTrackers)
+		if prof.TLBEntries > 0 {
+			cs.tlb = make([]tlbEntry, prof.TLBEntries)
+		}
+		cs.lastLine = noLine
 	}
 	h.l3 = newLevel(prof.L3)
 	h.nc = newLevel(prof.NetworkCache)
-	h.streams = make([][]streamState, prof.Cores)
-	for c := range h.streams {
-		h.streams[c] = make([]streamState, 0, streamTrackers)
-	}
-	if prof.TLBEntries > 0 {
-		h.tlbs = make([][]tlbEntry, prof.Cores)
-		for c := range h.tlbs {
-			h.tlbs[c] = make([]tlbEntry, prof.TLBEntries)
-		}
-	}
 	return h
 }
 
 // tlbAccess charges a translation for the page holding line and returns
 // the added cycles (zero on a TLB hit or with the model disabled).
-func (h *Hierarchy) tlbAccess(core int, line uint64) uint64 {
-	if h.tlbs == nil {
+func (h *Hierarchy) tlbAccess(cs *coreState, line uint64) uint64 {
+	tlb := cs.tlb
+	if tlb == nil {
 		return 0
 	}
 	page := line * LineSize / pageSize
-	tlb := h.tlbs[core]
 	h.tick++
+	if e := &tlb[cs.tlbMRU]; e.valid && e.page == page {
+		e.lastUse = h.tick
+		return 0
+	}
 	victim := 0
 	for i := range tlb {
 		if tlb[i].valid && tlb[i].page == page {
 			tlb[i].lastUse = h.tick
+			cs.tlbMRU = i
 			return 0
 		}
 		if !tlb[i].valid {
@@ -503,6 +566,7 @@ func (h *Hierarchy) tlbAccess(core int, line uint64) uint64 {
 		}
 	}
 	tlb[victim] = tlbEntry{page: page, valid: true, lastUse: h.tick}
+	cs.tlbMRU = victim
 	h.stats.TLBMisses++
 	return uint64(h.prof.TLBMissCycles)
 }
@@ -529,44 +593,31 @@ func (h *Hierarchy) HeaterActive() bool { return h.heaterActive }
 // evict it — that retention is precisely the hardware proposal.
 func (h *Hierarchy) Flush() {
 	if h.resTrack {
-		for c := 0; c < h.prof.Cores; c++ {
-			h.noteFlush("l1", h.l1[c])
-			h.noteFlush("l2", h.l2[c])
+		for c := range h.cores {
+			h.noteFlush(LevelL1, h.cores[c].l1)
+			h.noteFlush(LevelL2, h.cores[c].l2)
 		}
 		// Partitioned ways survive the flush; attribute only what the
 		// flush below actually invalidates.
 		if h.l3 != nil && h.prof.L3PartitionWays == 0 {
-			h.noteFlush("l3", h.l3)
+			h.noteFlush(LevelL3, h.l3)
 		}
 	}
-	if h.probe != nil {
-		for c := 0; c < h.prof.Cores; c++ {
-			h.noteFlushProbe(LevelL1, h.l1[c], 0)
-			h.noteFlushProbe(LevelL2, h.l2[c], 0)
-		}
-		if h.l3 != nil {
-			// Partitioned ways survive; count only what dies below.
-			h.noteFlushProbe(LevelL3, h.l3, h.prof.L3PartitionWays)
-		}
-	}
-	for c := 0; c < h.prof.Cores; c++ {
-		h.l1[c].flush()
-		h.l2[c].flush()
-		h.streams[c] = h.streams[c][:0]
-		if h.tlbs != nil {
-			for i := range h.tlbs[c] {
-				h.tlbs[c][i].valid = false
-			}
+	for c := range h.cores {
+		h.FlushPrivate(c)
+		tlb := h.cores[c].tlb
+		for i := range tlb {
+			tlb[i].valid = false
 		}
 	}
 	if h.l3 != nil {
-		if p := h.prof.L3PartitionWays; p > 0 {
-			// Compute traffic is confined to the unreserved ways: the
-			// partition survives the phase.
-			h.l3.flushWaysFrom(p)
-		} else {
-			h.l3.flush()
+		// Compute traffic is confined to the unreserved ways: a
+		// partition survives the phase, and the probe counts only what
+		// dies.
+		if h.probe != nil {
+			h.noteFlushProbe(LevelL3, h.l3, h.prof.L3PartitionWays)
 		}
+		h.l3.flushWaysFrom(h.prof.L3PartitionWays)
 	}
 }
 
@@ -616,39 +667,81 @@ func (h *Hierarchy) InNetworkCache(addr simmem.Addr) bool {
 // FlushPrivate invalidates only core's private L1/L2, modeling a context
 // where the core's working set churned but the shared cache survived.
 func (h *Hierarchy) FlushPrivate(core int) {
+	cs := &h.cores[core]
 	if h.probe != nil {
-		h.noteFlushProbe(LevelL1, h.l1[core], 0)
-		h.noteFlushProbe(LevelL2, h.l2[core], 0)
+		h.noteFlushProbe(LevelL1, cs.l1, 0)
+		h.noteFlushProbe(LevelL2, cs.l2, 0)
 	}
-	h.l1[core].flush()
-	h.l2[core].flush()
-	h.streams[core] = h.streams[core][:0]
+	cs.l1.flush()
+	cs.l2.flush()
+	cs.trackers = cs.trackers[:0]
+	cs.lastLine = noLine
 }
 
 // Access performs a demand access from core covering [addr, addr+size)
 // and returns the cycle cost. Multi-line accesses cost the sum over the
 // lines they touch; size 0 is treated as 1 byte.
 func (h *Hierarchy) Access(core int, addr simmem.Addr, size uint64) uint64 {
-	if size == 0 {
-		size = 1
+	return h.AccessRun(core, addr, size, 1)
+}
+
+// AccessRun performs n back-to-back demand accesses of size bytes each,
+// the i-th at addr+i*size, and returns their summed cost: exactly what n
+// Access calls would do, in one call (a packed array of entries scanned
+// in order).
+func (h *Hierarchy) AccessRun(core int, addr simmem.Addr, size uint64, n int) uint64 {
+	span := size
+	if span == 0 {
+		span = 1
 	}
-	first := addr.Line()
-	last := (addr + simmem.Addr(size) - 1).Line()
+	cs := &h.cores[core]
 	var cycles uint64
-	for line := first; line <= last; line++ {
-		cycles += h.accessLine(core, line)
+	for ; n > 0; n-- {
+		last := (addr + simmem.Addr(span) - 1).Line()
+		for line := addr.Line(); line <= last; line++ {
+			cycles += h.accessLine(core, cs, line)
+		}
+		addr += simmem.Addr(size)
 	}
 	h.stats.Cycles += cycles
 	return cycles
 }
 
 // accessLine is the demand path for one line.
-func (h *Hierarchy) accessLine(core int, line uint64) uint64 {
+func (h *Hierarchy) accessLine(core int, cs *coreState, line uint64) uint64 {
 	h.stats.Accesses++
-	l1, l2 := h.l1[core], h.l2[core]
-	tlbCost := h.tlbAccess(core, line)
+	l1 := cs.l1
+	if line == cs.lastLine {
+		// The core touches the line it touched last (packed entries share
+		// lines): if it is still where L1 put it, this is an L1 hit on a
+		// known way, a TLB hit on tlb[tlbMRU] and a streamer no-op on
+		// trackers[trkMRU]. Same ticks, stats and probe event as the
+		// general path below, with nothing searched.
+		if l1.lines[l1.mru] == line {
+			if cs.tlb != nil {
+				h.tick++
+				cs.tlb[cs.tlbMRU].lastUse = h.tick
+			}
+			pf := l1.touch(int(l1.mru))
+			h.stats.L1Hits++
+			if pf {
+				h.stats.PrefHits++
+			}
+			total := uint64(h.prof.L1.LatencyCycles)
+			if h.probe != nil {
+				h.probe.OnDemand(core, Demand{Level: LevelL1, WasPrefetched: pf, Cycles: total})
+			}
+			if h.prof.StreamerDegree > 0 {
+				h.tick++
+				cs.trackers[cs.trkMRU].lastUse = h.tick
+			}
+			return total
+		}
+	}
+	cs.lastLine = line
+	tlbCost := h.tlbAccess(cs, line)
 
-	if hit, pf := l1.lookup(line, true); hit {
+	if hit, pf := l1.lookup(line); hit {
 		h.stats.L1Hits++
 		if pf {
 			h.stats.PrefHits++
@@ -657,34 +750,34 @@ func (h *Hierarchy) accessLine(core int, line uint64) uint64 {
 		if h.probe != nil {
 			h.probe.OnDemand(core, Demand{Level: LevelL1, WasPrefetched: pf, Cycles: total, TLBCycles: tlbCost})
 		}
-		h.streamObserve(core, line, false)
+		h.streamObserve(core, cs, line, false)
 		return total
 	}
 
 	// Designated network data is served by the dedicated cache right
 	// after L1; its contents survive compute phases.
 	if h.nc != nil && h.netRegion.Contains(simmem.Addr(line*LineSize)) {
-		if hit, _ := h.nc.lookup(line, true); hit {
+		if hit, _ := h.nc.lookup(line); hit {
 			h.stats.NCHits++
 			l1.insert(line, false)
 			total := tlbCost + uint64(h.prof.NetworkCache.LatencyCycles)
 			if h.probe != nil {
 				h.probe.OnDemand(core, Demand{Level: LevelNC, Cycles: total, TLBCycles: tlbCost})
 			}
-			h.streamObserve(core, line, false)
+			h.streamObserve(core, cs, line, false)
 			return total
 		}
-		cost, src, pf, heater := h.fillFromBeyondL2(core, line, false)
+		cost, src, pf, heater := h.fillFromBeyondL2(cs, line, false)
 		if h.probe != nil {
 			h.probe.OnDemand(core, Demand{Level: src, WasPrefetched: pf,
 				Cycles: tlbCost + cost, HeaterCycles: heater, TLBCycles: tlbCost})
 		}
-		h.adjacentPrefetch(core, line)
-		h.pairPrefetch(core, line)
-		h.streamObserve(core, line, true)
+		h.adjacentPrefetch(core, cs, line)
+		h.pairPrefetch(core, cs, line)
+		h.streamObserve(core, cs, line, true)
 		return tlbCost + cost
 	}
-	if hit, pf := l2.lookup(line, true); hit {
+	if hit, pf := cs.l2.lookup(line); hit {
 		h.stats.L2Hits++
 		if pf {
 			h.stats.PrefHits++
@@ -694,22 +787,22 @@ func (h *Hierarchy) accessLine(core int, line uint64) uint64 {
 		if h.probe != nil {
 			h.probe.OnDemand(core, Demand{Level: LevelL2, WasPrefetched: pf, Cycles: total, TLBCycles: tlbCost})
 		}
-		h.dcuPrefetch(core, line)
-		h.streamObserve(core, line, false)
+		h.dcuPrefetch(core, cs, line)
+		h.streamObserve(core, cs, line, false)
 		return total
 	}
 
 	// L2 miss: the adjacent-line, adjacent-pair and streamer prefetchers
 	// live at L2 and react here.
-	cost, src, pf, heater := h.fillFromBeyondL2(core, line, false)
+	cost, src, pf, heater := h.fillFromBeyondL2(cs, line, false)
 	if h.probe != nil {
 		h.probe.OnDemand(core, Demand{Level: src, WasPrefetched: pf,
 			Cycles: tlbCost + cost, HeaterCycles: heater, TLBCycles: tlbCost})
 	}
-	h.adjacentPrefetch(core, line)
-	h.pairPrefetch(core, line)
-	h.streamObserve(core, line, true)
-	h.dcuPrefetch(core, line)
+	h.adjacentPrefetch(core, cs, line)
+	h.pairPrefetch(core, cs, line)
+	h.streamObserve(core, cs, line, true)
+	h.dcuPrefetch(core, cs, line)
 	return tlbCost + cost
 }
 
@@ -719,39 +812,32 @@ func (h *Hierarchy) accessLine(core int, line uint64) uint64 {
 // the caller nothing). For demand fills the extra returns identify the
 // serving level, whether it held the line via a prefetch, and the
 // heater-contention share of the cost (probe bookkeeping only).
-func (h *Hierarchy) fillFromBeyondL2(core int, line uint64, prefetched bool) (cost uint64, src LevelID, wasPf bool, heaterExtra uint64) {
-	l1, l2 := h.l1[core], h.l2[core]
+func (h *Hierarchy) fillFromBeyondL2(cs *coreState, line uint64, prefetched bool) (cost uint64, src LevelID, wasPf bool, heaterExtra uint64) {
+	src, cost = LevelDRAM, uint64(h.prof.DRAMLatency)
 	if h.l3 != nil {
-		if hit, pf := h.l3.lookup(line, !prefetched); hit {
+		// A prefetcher only probes the L3; a demand fill touches it.
+		if i := h.l3.find(line); i >= 0 {
+			src, cost = LevelL3, uint64(h.prof.L3.LatencyCycles)
 			if !prefetched {
+				wasPf = h.l3.touch(i)
 				h.stats.L3Hits++
-				if pf {
+				if wasPf {
 					h.stats.PrefHits++
 				}
-			}
-			src, wasPf = LevelL3, pf
-			cost = uint64(h.prof.L3.LatencyCycles)
-			if !prefetched && h.heaterActive {
-				heaterExtra = uint64(h.prof.L3ContentionCycles)
-				cost += heaterExtra
+				if h.heaterActive {
+					heaterExtra = uint64(h.prof.L3ContentionCycles)
+					cost += heaterExtra
+				}
 			}
 		} else {
-			if !prefetched {
-				h.stats.DRAMLoads++
-			}
-			src = LevelDRAM
-			cost = uint64(h.prof.DRAMLatency)
 			h.l3insert(line, prefetched)
 		}
-	} else {
-		if !prefetched {
-			h.stats.DRAMLoads++
-		}
-		src = LevelDRAM
-		cost = uint64(h.prof.DRAMLatency)
 	}
-	l2.insert(line, prefetched)
-	l1.insert(line, prefetched)
+	if src == LevelDRAM && !prefetched {
+		h.stats.DRAMLoads++
+	}
+	cs.l2.insert(line, prefetched)
+	cs.l1.insert(line, prefetched)
 	// The network cache captures designated lines on any fill, demand
 	// or prefetched — the "custom prefetching units" of the paper's
 	// proposal feed it alongside the regular hierarchy.
@@ -780,7 +866,7 @@ func (h *Hierarchy) l3insert(line uint64, prefetched bool) {
 // dcuPrefetch models the L1 DCU next-line prefetcher: on an L1 fill it
 // pulls the following line into L1 if it is already in L2 or L3 (the DCU
 // unit does not launch memory requests).
-func (h *Hierarchy) dcuPrefetch(core int, line uint64) {
+func (h *Hierarchy) dcuPrefetch(core int, cs *coreState, line uint64) {
 	if !h.prof.DCUPrefetch {
 		return
 	}
@@ -788,8 +874,8 @@ func (h *Hierarchy) dcuPrefetch(core int, line uint64) {
 	if samePage := (line*LineSize)/pageSize == (next*LineSize)/pageSize; !samePage {
 		return
 	}
-	if h.l2[core].contains(next) || (h.l3 != nil && h.l3.contains(next)) {
-		h.l1[core].insert(next, true)
+	if cs.l2.contains(next) || (h.l3 != nil && h.l3.contains(next)) {
+		cs.l1.insert(next, true)
 		h.stats.Prefetches++
 		if h.probe != nil {
 			h.probe.OnPrefetchIssue(core, UnitDCU)
@@ -799,15 +885,15 @@ func (h *Hierarchy) dcuPrefetch(core int, line uint64) {
 
 // adjacentPrefetch models the L2 spatial ("adjacent cache line") unit:
 // on an L2 miss it completes the aligned 128-byte line pair.
-func (h *Hierarchy) adjacentPrefetch(core int, line uint64) {
+func (h *Hierarchy) adjacentPrefetch(core int, cs *coreState, line uint64) {
 	if !h.prof.AdjacentLinePrefetch {
 		return
 	}
 	buddy := line ^ 1
-	if h.l2[core].contains(buddy) {
+	if cs.l2.contains(buddy) {
 		return
 	}
-	h.fillFromBeyondL2(core, buddy, true)
+	h.fillFromBeyondL2(cs, buddy, true)
 	h.stats.Prefetches++
 	if h.probe != nil {
 		h.probe.OnPrefetchIssue(core, UnitAdjacent)
@@ -817,17 +903,17 @@ func (h *Hierarchy) adjacentPrefetch(core int, line uint64) {
 // pairPrefetch models the specialized adjacent-pair unit: on an L2 miss
 // it fetches the next aligned 128-byte pair (two lines), stopping at the
 // page boundary.
-func (h *Hierarchy) pairPrefetch(core int, line uint64) {
+func (h *Hierarchy) pairPrefetch(core int, cs *coreState, line uint64) {
 	if !h.prof.AdjacentPairPrefetch {
 		return
 	}
 	lastInPage := ((line*LineSize)/pageSize+1)*pageSize/LineSize - 1
 	first := (line | 1) + 1 // first line of the following pair
 	for l := first; l <= first+1 && l <= lastInPage; l++ {
-		if h.l2[core].contains(l) {
+		if cs.l2.contains(l) {
 			continue
 		}
-		h.fillFromBeyondL2(core, l, true)
+		h.fillFromBeyondL2(cs, l, true)
 		h.stats.Prefetches++
 		if h.probe != nil {
 			h.probe.OnPrefetchIssue(core, UnitPair)
@@ -839,24 +925,30 @@ func (h *Hierarchy) pairPrefetch(core int, line uint64) {
 // issues prefetches only when an L2 miss extends an ascending
 // unit-stride run of at least two lines within one page, fetching
 // StreamerDegree lines ahead into L2.
-func (h *Hierarchy) streamObserve(core int, line uint64, missed bool) {
+func (h *Hierarchy) streamObserve(core int, cs *coreState, line uint64, missed bool) {
 	if h.prof.StreamerDegree <= 0 {
 		return
 	}
 	page := line * LineSize / pageSize
 	h.tick++
-	trackers := h.streams[core]
-	idx := -1
-	for i := range trackers {
-		if trackers[i].page == page {
-			idx = i
-			break
+	trackers := cs.trackers
+	// A page has at most one tracker, so the latest one used is the
+	// answer whenever it matches; otherwise search the table.
+	idx := cs.trkMRU
+	if idx >= len(trackers) || trackers[idx].page != page {
+		idx = -1
+		for i := range trackers {
+			if trackers[i].page == page {
+				idx = i
+				break
+			}
 		}
 	}
 	if idx < 0 {
 		st := streamState{page: page, lastLine: line, run: 1, lastUse: h.tick}
 		if len(trackers) < streamTrackers {
-			h.streams[core] = append(trackers, st)
+			cs.trkMRU = len(trackers)
+			cs.trackers = append(trackers, st)
 		} else {
 			victim := 0
 			for i := range trackers {
@@ -865,9 +957,11 @@ func (h *Hierarchy) streamObserve(core int, line uint64, missed bool) {
 				}
 			}
 			trackers[victim] = st
+			cs.trkMRU = victim
 		}
 		return
 	}
+	cs.trkMRU = idx
 	st := &trackers[idx]
 	st.lastUse = h.tick
 	switch {
@@ -895,10 +989,10 @@ func (h *Hierarchy) streamObserve(core int, line uint64, missed bool) {
 		if next > lastInPage {
 			break
 		}
-		if h.l2[core].contains(next) {
+		if cs.l2.contains(next) {
 			continue
 		}
-		h.fillFromBeyondL2(core, next, true)
+		h.fillFromBeyondL2(cs, next, true)
 		h.stats.Prefetches++
 		if h.probe != nil {
 			h.probe.OnPrefetchIssue(core, UnitStreamer)
@@ -915,9 +1009,8 @@ func (h *Hierarchy) HeaterTouch(core int, addr simmem.Addr, size uint64) {
 	}
 	first := addr.Line()
 	last := (addr + simmem.Addr(size) - 1).Line()
-	if h.resTrack || h.probe != nil {
-		h.agent = AgentHeater
-	}
+	cs := &h.cores[core]
+	h.heaterFill = true
 	for line := first; line <= last; line++ {
 		h.stats.HeaterTouches++
 		if h.probe != nil {
@@ -926,22 +1019,20 @@ func (h *Hierarchy) HeaterTouch(core int, addr simmem.Addr, size uint64) {
 		if h.l3 != nil {
 			h.l3.insert(line, false)
 		}
-		h.l2[core].insert(line, false)
-		h.l1[core].insert(line, false)
+		cs.l2.insert(line, false)
+		cs.l1.insert(line, false)
 	}
-	if h.resTrack || h.probe != nil {
-		h.agent = ""
-	}
+	h.heaterFill = false
 }
 
 // Present reports the closest level holding the line for the given core:
 // 1, 2, 3, or 0 when only memory has it. Probing does not disturb LRU.
 func (h *Hierarchy) Present(core int, addr simmem.Addr) int {
 	line := addr.Line()
-	if h.l1[core].contains(line) {
+	if h.cores[core].l1.contains(line) {
 		return 1
 	}
-	if h.l2[core].contains(line) {
+	if h.cores[core].l2.contains(line) {
 		return 2
 	}
 	if h.l3 != nil && h.l3.contains(line) {

@@ -168,32 +168,32 @@ func (h *Hierarchy) ProbeAttached() bool { return h.probe != nil }
 // hierarchy dispatcher, which fans out to residency tracking and the
 // probe. Idempotent.
 func (h *Hierarchy) installEvictHooks() {
-	hook := func(name string, id LevelID) evictHook {
+	hook := func(id LevelID) evictHook {
 		return func(incoming, victim uint64, incomingPf, victimPf bool) {
-			h.noteEvict(name, id, incoming, victim, incomingPf, victimPf)
+			h.noteEvict(id, incoming, victim, incomingPf, victimPf)
 		}
 	}
-	for c := 0; c < h.prof.Cores; c++ {
-		h.l1[c].onEvict = hook("l1", LevelL1)
-		h.l2[c].onEvict = hook("l2", LevelL2)
+	for c := range h.cores {
+		h.cores[c].l1.onEvict = hook(LevelL1)
+		h.cores[c].l2.onEvict = hook(LevelL2)
 	}
 	if h.l3 != nil {
-		h.l3.onEvict = hook("l3", LevelL3)
+		h.l3.onEvict = hook(LevelL3)
 	}
 	if h.nc != nil {
-		h.nc.onEvict = hook("nc", LevelNC)
+		h.nc.onEvict = hook(LevelNC)
 	}
 }
 
 // noteEvict dispatches one capacity eviction to whoever is listening.
-func (h *Hierarchy) noteEvict(name string, id LevelID, incoming, victim uint64, incomingPf, victimPf bool) {
+func (h *Hierarchy) noteEvict(id LevelID, incoming, victim uint64, incomingPf, victimPf bool) {
 	if h.resTrack {
-		h.noteEviction(name, incoming, victim)
+		h.noteEviction(id, incoming, victim)
 	}
 	if h.probe != nil {
 		cause := EvictByDemand
 		switch {
-		case h.agent == AgentHeater:
+		case h.heaterFill:
 			cause = EvictByHeater
 		case incomingPf:
 			cause = EvictByPrefetch

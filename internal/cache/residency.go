@@ -30,10 +30,21 @@ const (
 	AgentOther = "other"
 )
 
+// ownerID is an owner or agent name interned by evictMatrix, so the
+// per-eviction bookkeeping compares and indexes small integers.
+type ownerID uint16
+
+// The agents are interned first, in this order.
+const (
+	ownerOther ownerID = iota // also "untagged" for region lookups
+	ownerHeater
+	ownerCompute
+)
+
 // ownedRegion associates a tagged region with its owner.
 type ownedRegion struct {
-	r     simmem.Region
-	owner string
+	r  simmem.Region
+	id ownerID
 }
 
 // EvictionKey identifies one cell of the eviction-attribution matrix:
@@ -42,6 +53,43 @@ type EvictionKey struct {
 	Level string // "l1", "l2", "l3", "nc"
 	By    string // owner of the incoming line, AgentHeater, or AgentCompute
 	Of    string // owner of the victim line, or AgentOther
+}
+
+// evictMatrix is the eviction-attribution matrix in the form the hot
+// path wants it: names interned to ownerIDs when a region is tagged,
+// counts in a dense array per level. Recording an eviction hashes no
+// string and allocates nothing; EvictionMatrix turns the counts back
+// into EvictionKeys.
+type evictMatrix struct {
+	names []string // ownerID -> name
+	ids   map[string]ownerID
+
+	// cells[level][by*len(names)+of], one array per cache level (the
+	// LevelIDs below LevelDRAM). Interning a name re-lays the rows out;
+	// that happens once per distinct owner, a handful per run.
+	cells [LevelDRAM][]uint64
+}
+
+// intern returns name's id, assigning the next one on first sight.
+func (m *evictMatrix) intern(name string) ownerID {
+	if id, ok := m.ids[name]; ok {
+		return id
+	}
+	n := len(m.names)
+	for lvl, old := range m.cells {
+		grown := make([]uint64, (n+1)*(n+1))
+		for by := 0; by < n; by++ {
+			copy(grown[by*(n+1):], old[by*n:(by+1)*n])
+		}
+		m.cells[lvl] = grown
+	}
+	m.names = append(m.names, name)
+	m.ids[name] = ownerID(n)
+	return ownerID(n)
+}
+
+func (m *evictMatrix) add(level LevelID, by, of ownerID) {
+	m.cells[level][int(by)*len(m.names)+int(of)]++
 }
 
 // Residency reports one owner's line counts: how many of its Lines are
@@ -84,7 +132,10 @@ func (h *Hierarchy) EnableResidencyTracking() {
 		return
 	}
 	h.resTrack = true
-	h.evictions = make(map[EvictionKey]uint64)
+	h.evict.ids = make(map[string]ownerID)
+	for _, agent := range [...]string{ownerOther: AgentOther, ownerHeater: AgentHeater, ownerCompute: AgentCompute} {
+		h.evict.intern(agent)
+	}
 	h.installEvictHooks()
 }
 
@@ -92,9 +143,9 @@ func (h *Hierarchy) EnableResidencyTracking() {
 func (h *Hierarchy) ResidencyTracking() bool { return h.resTrack }
 
 // TagOwner marks a region as belonging to owner. Regions tagged by the
-// same owner may be adjacent or disjoint; overlapping tags keep the
-// earlier owner (first match wins on lookup). A no-op until tracking
-// is enabled.
+// same owner may be adjacent or disjoint, but no two tagged regions may
+// overlap (allocations from one simmem.Space never do): owner lookup
+// relies on it. A no-op until tracking is enabled.
 func (h *Hierarchy) TagOwner(owner string, r simmem.Region) {
 	if !h.resTrack || r.Size == 0 || owner == "" {
 		return
@@ -104,7 +155,7 @@ func (h *Hierarchy) TagOwner(owner string, r simmem.Region) {
 	})
 	h.owners = append(h.owners, ownedRegion{})
 	copy(h.owners[i+1:], h.owners[i:])
-	h.owners[i] = ownedRegion{r: r, owner: owner}
+	h.owners[i] = ownedRegion{r: r, id: h.evict.intern(owner)}
 }
 
 // UntagOwner removes any tagged region overlapping r, splitting tags
@@ -121,14 +172,14 @@ func (h *Hierarchy) UntagOwner(r simmem.Region) {
 		}
 		if o.r.Base < r.Base {
 			out = append(out, ownedRegion{
-				r:     simmem.Region{Base: o.r.Base, Size: uint64(r.Base - o.r.Base)},
-				owner: o.owner,
+				r:  simmem.Region{Base: o.r.Base, Size: uint64(r.Base - o.r.Base)},
+				id: o.id,
 			})
 		}
 		if o.r.End() > r.End() {
 			out = append(out, ownedRegion{
-				r:     simmem.Region{Base: r.End(), Size: uint64(o.r.End() - r.End())},
-				owner: o.owner,
+				r:  simmem.Region{Base: r.End(), Size: uint64(o.r.End() - r.End())},
+				id: o.id,
 			})
 		}
 	}
@@ -138,45 +189,62 @@ func (h *Hierarchy) UntagOwner(r simmem.Region) {
 // OwnerOf returns the owner tag of the line's first byte, or "" when
 // untagged.
 func (h *Hierarchy) OwnerOf(line uint64) string {
-	addr := simmem.Addr(line * LineSize)
-	i := sort.Search(len(h.owners), func(i int) bool {
-		return h.owners[i].r.End() > addr
-	})
-	if i < len(h.owners) && h.owners[i].r.Contains(addr) {
-		return h.owners[i].owner
+	if id := h.ownerOf(line, 0); id != ownerOther {
+		return h.evict.names[id]
 	}
 	return ""
 }
 
-// ownerOrOther maps the empty tag to AgentOther for matrix cells.
-func (h *Hierarchy) ownerOrOther(line uint64) string {
-	if o := h.OwnerOf(line); o != "" {
-		return o
+// ownerOf returns the id of the region holding the line's first byte,
+// ownerOther when untagged. Evictions come in runs over one node's
+// lines, for the incoming line and for the victim alike, so each of the
+// two keeps the index of the region that answered last (memo slot 0 and
+// 1) and tries it before the binary search; a stale index fails the
+// Contains test and costs only the search.
+func (h *Hierarchy) ownerOf(line uint64, slot int) ownerID {
+	addr := simmem.Addr(line * LineSize)
+	owners := h.owners
+	if i := h.ownerMemo[slot]; i < len(owners) && owners[i].r.Contains(addr) {
+		return owners[i].id
 	}
-	return AgentOther
+	// First region ending past addr: the only one that can hold it.
+	lo, hi := 0, len(owners)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if owners[mid].r.End() > addr {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	if lo < len(owners) && owners[lo].r.Contains(addr) {
+		h.ownerMemo[slot] = lo
+		return owners[lo].id
+	}
+	return ownerOther
 }
 
 // noteEviction records one matrix cell increment. Called from the
 // levels' onEvict hooks, which exist only while tracking is enabled.
-func (h *Hierarchy) noteEviction(level string, incoming, victim uint64) {
-	by := h.agent
-	if by == "" {
-		by = h.ownerOrOther(incoming)
+func (h *Hierarchy) noteEviction(level LevelID, incoming, victim uint64) {
+	by := ownerHeater
+	if !h.heaterFill {
+		by = h.ownerOf(incoming, 0)
 	}
-	h.evictions[EvictionKey{Level: level, By: by, Of: h.ownerOrOther(victim)}]++
+	h.evict.add(level, by, h.ownerOf(victim, 1))
 }
 
 // noteFlush attributes a compute-phase invalidation of every tagged
 // line currently valid in the level. Untagged victims are skipped: the
 // flush clears everything, and the matrix cares about who lost
 // designated network state.
-func (h *Hierarchy) noteFlush(level string, l *level) {
+func (h *Hierarchy) noteFlush(level LevelID, l *level) {
 	if l == nil {
 		return
 	}
 	l.forEachValid(func(line uint64) {
-		if o := h.OwnerOf(line); o != "" {
-			h.evictions[EvictionKey{Level: level, By: AgentCompute, Of: o}]++
+		if of := h.ownerOf(line, 1); of != ownerOther {
+			h.evict.add(level, ownerCompute, of)
 		}
 	})
 }
@@ -184,12 +252,17 @@ func (h *Hierarchy) noteFlush(level string, l *level) {
 // EvictionMatrix returns a copy of the eviction-attribution counts
 // (nil until tracking is enabled).
 func (h *Hierarchy) EvictionMatrix() map[EvictionKey]uint64 {
-	if h.evictions == nil {
+	if !h.resTrack {
 		return nil
 	}
-	out := make(map[EvictionKey]uint64, len(h.evictions))
-	for k, v := range h.evictions {
-		out[k] = v
+	out := make(map[EvictionKey]uint64)
+	names := h.evict.names
+	for lvl, cells := range h.evict.cells {
+		for i, v := range cells {
+			if v != 0 {
+				out[EvictionKey{Level: LevelID(lvl).String(), By: names[i/len(names)], Of: names[i%len(names)]}] = v
+			}
+		}
 	}
 	return out
 }
@@ -201,36 +274,38 @@ func (h *Hierarchy) ScanResidency() []Residency {
 	if !h.resTrack || len(h.owners) == 0 {
 		return nil
 	}
+	names := h.evict.names
 	acc := make(map[string]*Residency)
 	// Adjacent regions of one owner can share a boundary cache line when
 	// allocations are not line-aligned; lastLine dedupes it (the owners
 	// slice is sorted by base address).
 	lastLine := make(map[string]uint64)
 	for _, o := range h.owners {
-		res, ok := acc[o.owner]
+		owner := names[o.id]
+		res, ok := acc[owner]
 		if !ok {
-			res = &Residency{Owner: o.owner}
-			acc[o.owner] = res
+			res = &Residency{Owner: owner}
+			acc[owner] = res
 		}
 		first := o.r.Base.Line()
 		last := (o.r.End() - 1).Line()
-		if prev, seen := lastLine[o.owner]; seen && first <= prev {
+		if prev, seen := lastLine[owner]; seen && first <= prev {
 			first = prev + 1
 		}
 		if last < first {
 			continue
 		}
-		lastLine[o.owner] = last
+		lastLine[owner] = last
 		for line := first; line <= last; line++ {
 			res.Lines++
-			for c := 0; c < h.prof.Cores; c++ {
-				if h.l1[c].contains(line) {
+			for c := range h.cores {
+				if h.cores[c].l1.contains(line) {
 					res.L1++
 					break
 				}
 			}
-			for c := 0; c < h.prof.Cores; c++ {
-				if h.l2[c].contains(line) {
+			for c := range h.cores {
+				if h.cores[c].l2.contains(line) {
 					res.L2++
 					break
 				}

@@ -33,5 +33,12 @@ func (c *CacheAccessor) Access(addr simmem.Addr, size uint64) uint64 {
 	return cy
 }
 
+// AccessRun implements Accessor.
+func (c *CacheAccessor) AccessRun(addr simmem.Addr, size uint64, n int) uint64 {
+	cy := c.H.AccessRun(c.Core, addr, size, n)
+	c.Cycles += cy
+	return cy
+}
+
 // Reset zeroes the accumulated cycle count.
 func (c *CacheAccessor) Reset() { c.Cycles = 0 }

@@ -30,6 +30,12 @@ type Accessor interface {
 	// Access models a load or store of size bytes at addr and returns
 	// its cost in cycles (zero for cost-free accessors).
 	Access(addr simmem.Addr, size uint64) uint64
+
+	// AccessRun models n back-to-back accesses of size bytes each, the
+	// i-th at addr+i*size — a scan over packed array elements — and
+	// returns their summed cost. It is exactly n Access calls in one
+	// dispatch.
+	AccessRun(addr simmem.Addr, size uint64, n int) uint64
 }
 
 // FreeAccessor ignores accesses; used when only algorithmic behaviour
@@ -38,6 +44,9 @@ type FreeAccessor struct{}
 
 // Access implements Accessor at zero cost.
 func (FreeAccessor) Access(simmem.Addr, uint64) uint64 { return 0 }
+
+// AccessRun implements Accessor at zero cost.
+func (FreeAccessor) AccessRun(simmem.Addr, uint64, int) uint64 { return 0 }
 
 // CountingAccessor tallies accesses and bytes; useful in tests.
 type CountingAccessor struct {
@@ -49,6 +58,13 @@ type CountingAccessor struct {
 func (c *CountingAccessor) Access(_ simmem.Addr, size uint64) uint64 {
 	c.Accesses++
 	c.Bytes += size
+	return 0
+}
+
+// AccessRun implements Accessor.
+func (c *CountingAccessor) AccessRun(_ simmem.Addr, size uint64, n int) uint64 {
+	c.Accesses += uint64(n)
+	c.Bytes += uint64(n) * size
 	return 0
 }
 

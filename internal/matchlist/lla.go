@@ -136,10 +136,10 @@ func (l *llaPosted) Post(p match.Posted) {
 
 // Search walks nodes in order. The per-slot candidate test runs through
 // the packed branch-free kernel (match.FindPosted) over the node's
-// contiguous entry array; the modeled accounting is unchanged — every
-// slot up to and including the hit (or every used slot on a miss) is
-// charged one entry access and one depth unit, holes included, exactly
-// as the scalar loop did.
+// contiguous entry array; the modeled accounting is that of a
+// slot-by-slot loop — every slot up to and including the hit (or every
+// used slot on a miss) is charged one entry access and one depth unit,
+// holes included — issued as one run per node.
 func (l *llaPosted) Search(e match.Envelope) (match.Posted, int, bool) {
 	l.cfg.Acc.Access(l.ctrl, 16)
 	depth, seg := 0, 0
@@ -152,10 +152,8 @@ func (l *llaPosted) Search(e match.Envelope) (match.Posted, int, bool) {
 		if hit >= 0 {
 			last = n.head + hit + 1
 		}
-		for i := n.head; i < last; i++ {
-			l.cfg.Acc.Access(n.entryAddr(i), match.PostedEntryBytes)
-			depth++
-		}
+		l.cfg.Acc.AccessRun(n.entryAddr(n.head), match.PostedEntryBytes, last-n.head)
+		depth += last - n.head
 		if hit >= 0 {
 			i := n.head + hit
 			ent := n.entries[i]
@@ -177,13 +175,17 @@ func (l *llaPosted) Cancel(req uint64) bool {
 	var prev *llaNode
 	for n := l.head; n != nil; n = n.next {
 		l.cfg.Acc.Access(n.addr, 8)
+		hit, last := -1, n.tail
 		for i := n.head; i < n.tail; i++ {
-			l.cfg.Acc.Access(n.entryAddr(i), match.PostedEntryBytes)
-			ent := n.entries[i]
-			if !ent.IsHole() && ent.Req == req {
-				l.removeAt(prev, n, i)
-				return true
+			if ent := n.entries[i]; !ent.IsHole() && ent.Req == req {
+				hit, last = i, i+1
+				break
 			}
+		}
+		l.cfg.Acc.AccessRun(n.entryAddr(n.head), match.PostedEntryBytes, last-n.head)
+		if hit >= 0 {
+			l.removeAt(prev, n, hit)
+			return true
 		}
 		l.cfg.Acc.Access(n.nextPtrAddr(l.k), 8)
 		prev = n
@@ -336,7 +338,7 @@ func (l *llaUnexpected) Append(u match.Unexpected) {
 
 // SearchBy mirrors llaPosted.Search: the packed kernel
 // (match.FindUnexpected) picks the candidate, the accounting charges
-// the same accesses and depth as the scalar slot-by-slot loop.
+// the accesses and depth of a slot-by-slot loop, one run per node.
 func (l *llaUnexpected) SearchBy(p match.Posted) (match.Unexpected, int, bool) {
 	l.cfg.Acc.Access(l.ctrl, 16)
 	depth, seg := 0, 0
@@ -349,10 +351,8 @@ func (l *llaUnexpected) SearchBy(p match.Posted) (match.Unexpected, int, bool) {
 		if hit >= 0 {
 			last = n.head + hit + 1
 		}
-		for i := n.head; i < last; i++ {
-			l.cfg.Acc.Access(n.entryAddr(i), match.UnexpectedEntryBytes)
-			depth++
-		}
+		l.cfg.Acc.AccessRun(n.entryAddr(n.head), match.UnexpectedEntryBytes, last-n.head)
+		depth += last - n.head
 		if hit >= 0 {
 			i := n.head + hit
 			ent := n.entries[i]

@@ -172,6 +172,31 @@ func TestSegFrameBuckets(t *testing.T) {
 	}
 }
 
+// TestSamplingZeroAlloc: with the profiler sampling every access and the
+// segment frame changing under it, a demand event — and an op's frame
+// switches around it — must not allocate once each stack has been seen.
+func TestSamplingZeroAlloc(t *testing.T) {
+	p := New(Options{SampleInterval: 50, SpanCapacity: -1, Experiment: "exp"})
+	seg := 0
+	p.SetSegFunc(func() int { return seg })
+	op := func() {
+		p.BeginOp(OpArrive)
+		seg = (seg + 7) % 200
+		p.OnDemand(0, cache.Demand{Level: cache.LevelL2, Cycles: 120})
+		p.EndOp(500, 3, true, 0)
+	}
+	for i := 0; i < 400; i++ {
+		op()
+	}
+	before := p.Profiler().NumSamples()
+	if allocs := testing.AllocsPerRun(1000, op); allocs != 0 {
+		t.Errorf("%.1f allocs per sampled op, want 0", allocs)
+	}
+	if p.Profiler().NumSamples() == before {
+		t.Error("the measured ops took no samples")
+	}
+}
+
 // TestPprofDecodes gunzips the pprof output and walks the top-level
 // protobuf fields, checking the message is well-formed and carries the
 // expected string table and sample count.

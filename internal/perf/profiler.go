@@ -21,11 +21,31 @@ type Profiler struct {
 	root     string
 	phase    string
 	op       string
-	prefix   string // cached "root;phase[;op]"
+	cur      *stackKeys   // keys of the current root;phase[;op]
+	stacks   []*stackKeys // every (phase, op) seen: a handful
 	interval uint64
 	acc      uint64 // cycles toward the next sample
 	opAcc    uint64 // cycles ticked since the op frame last changed
 	samples  map[string]uint64
+}
+
+// stackKeys caches the histogram keys under one (phase, op) so that a
+// sample concatenates nothing: prefix is "root;phase[;op]" and leaf[b]
+// is prefix + ";" + the frame of the nodes with bits.Len(index) == b,
+// built the first time it is sampled.
+type stackKeys struct {
+	phase, op string
+	prefix    string
+	leaf      [bits.UintSize]string
+}
+
+// leafKey returns the key of the stack ending in queue-node s's frame.
+func (st *stackKeys) leafKey(s int) string {
+	b := bits.Len(uint(s))
+	if st.leaf[b] == "" {
+		st.leaf[b] = st.prefix + ";" + segFrame(s)
+	}
+	return st.leaf[b]
 }
 
 func newProfiler(root string, interval uint64) *Profiler {
@@ -55,10 +75,18 @@ func (pr *Profiler) setOp(name string) {
 }
 
 func (pr *Profiler) rebuild() {
-	pr.prefix = pr.root + ";" + pr.phase
-	if pr.op != "" {
-		pr.prefix += ";" + pr.op
+	for _, st := range pr.stacks {
+		if st.phase == pr.phase && st.op == pr.op {
+			pr.cur = st
+			return
+		}
 	}
+	prefix := pr.root + ";" + pr.phase
+	if pr.op != "" {
+		prefix += ";" + pr.op
+	}
+	pr.cur = &stackKeys{phase: pr.phase, op: pr.op, prefix: prefix}
+	pr.stacks = append(pr.stacks, pr.cur)
 }
 
 // tick advances the sample clock by cycles; when a sample boundary is
@@ -70,10 +98,10 @@ func (pr *Profiler) tick(cycles uint64, seg func() int) {
 	if pr.acc < pr.interval {
 		return
 	}
-	key := pr.prefix
+	key := pr.cur.prefix
 	if seg != nil {
 		if s := seg(); s >= 0 {
-			key += ";" + segFrame(s)
+			key = pr.cur.leafKey(s)
 		}
 	}
 	for pr.acc >= pr.interval {
@@ -94,20 +122,23 @@ func (pr *Profiler) takeOpCycles() uint64 {
 	return v
 }
 
-// segFrame buckets a queue-node index into a power-of-two range frame
-// ("node:0", "node:2-3", "node:8-15"), bounding frame cardinality on
-// arbitrarily long lists.
+// segFrames names the power-of-two buckets of queue-node indexes
+// ("node:0", "node:1", "node:2-3", "node:8-15"), indexed by bits.Len of
+// the index: bounded frame cardinality on arbitrarily long lists.
+var segFrames = func() (t [bits.UintSize]string) {
+	t[0], t[1] = "node:0", "node:1"
+	for b := 2; b < len(t); b++ {
+		t[b] = fmt.Sprintf("node:%d-%d", 1<<(b-1), 1<<b-1)
+	}
+	return t
+}()
+
+// segFrame returns the frame of queue-node index s.
 func segFrame(s int) string {
 	if s <= 0 {
-		return "node:0"
+		return segFrames[0]
 	}
-	b := bits.Len(uint(s))
-	lo := 1 << (b - 1)
-	hi := 1<<b - 1
-	if lo == hi {
-		return fmt.Sprintf("node:%d", lo)
-	}
-	return fmt.Sprintf("node:%d-%d", lo, hi)
+	return segFrames[bits.Len(uint(s))]
 }
 
 // NumSamples returns the total samples recorded.
