@@ -44,8 +44,10 @@ bench-json: bench-json-hotpath
 
 # bench-json-hotpath measures the zero-allocation batched hot path
 # (engine and wire, scalar vs. batch x {8,64,512}; one matched pair per
-# iteration) into BENCH_hotpath.json. The engine rows' allocs/op column
-# must stay 0 — bench-diff flags any growth from zero regardless of the
+# iteration) into BENCH_hotpath.json. The allocs/op column must stay 0
+# on every row — the engine rows and, since the wire path encodes into
+# and decodes out of the connection's own buffers, the wire/* rows too:
+# `spco-benchjson -diff` flags any growth from zero regardless of the
 # percentage threshold.
 BENCHHOTPATH ?= BENCH_hotpath.json
 .PHONY: bench-json-hotpath
@@ -108,12 +110,20 @@ bench-diff:
 # It also holds the cache model's own hot path: 0 allocs per Access
 # at every serving level and per attributed eviction with the PMU
 # sampling and residency tracking on, 0 allocs per profiler sample, and
-# a one-iteration smoke of BenchmarkHierarchyAccess.
+# a one-iteration smoke of BenchmarkHierarchyAccess. And the serving
+# wire path: 0 allocs per codec call on bufio buffers and per journal
+# Append, 0 allocs per 64-pair batch window and per scalar pair through
+# a live Client <-> serveConn (Collector + PMU attached), the frame and
+# record byte goldens, big frames, and what a traced pair records.
+# `go vet ./bench` is here so that drifting a signature the untouched
+# benchmark calls fails in seconds, not at benchmark time.
 .PHONY: hotpath-gate
 hotpath-gate:
+	go vet ./bench
 	go test ./internal/engine/ -run 'ZeroAlloc|BatchMatchesScalar|PoolingIsBitIdentical|PoolStats'
-	go test ./internal/daemon/ -run 'Batch'
+	go test ./internal/daemon/ -run 'Batch|ZeroAlloc|TracedPairSpans'
 	go test ./internal/mpi/ -run 'Wire'
+	go test ./internal/recov/ -run 'ZeroAlloc|Golden'
 	go test ./internal/cache/ ./internal/perf/ -run 'ZeroAlloc'
 	go test -run='^$$' -bench='BenchmarkHotPath' -benchtime=1x -benchmem .
 	go test -run='^$$' -bench='BenchmarkHierarchyAccess' -benchtime=1x -benchmem ./internal/cache/

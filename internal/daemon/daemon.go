@@ -733,8 +733,10 @@ func (s *Server) hostNS() float64 {
 }
 
 // adoptTrace joins the client-minted trace context riding a wire frame
-// (zero when the client is untraced or the recorder is off).
-func (s *Server) adoptTrace(op mpi.WireOp, name string) ctrace.Context {
+// (zero when the client is untraced or the recorder is off). The root
+// span's name is formatted only for a traced op: an untraced one must
+// not pay for a string nobody will read.
+func (s *Server) adoptTrace(op mpi.WireOp) ctrace.Context {
 	if op.Trace == 0 {
 		return ctrace.Context{}
 	}
@@ -742,7 +744,8 @@ func (s *Server) adoptTrace(op mpi.WireOp, name string) ctrace.Context {
 	if pid < 0 {
 		pid = 0
 	}
-	return s.tr.Adopt(ctrace.Context{Trace: op.Trace, Parent: op.Span}, pid, name, s.hostNS())
+	return s.tr.Adopt(ctrace.Context{Trace: op.Trace, Parent: op.Span}, pid,
+		fmt.Sprintf("msg tag=%d", op.Tag), s.hostNS())
 }
 
 // dedup answers a sequenced op from the session's reply ring when the
@@ -916,12 +919,18 @@ func (s *Server) applyStat() mpi.WireReply {
 
 // applyLocked executes one ctx-routed wire operation (arrive or post)
 // on this shard; the caller holds sh.mu and has counted the frame.
+//
+// An untraced op (tctx invalid) must not pay for tracing: every ctrace
+// call is a no-op on a zero context, but its arguments — formatted
+// names, KV slices, trace-clock readings — are evaluated before the
+// callee can see that, so they are built only behind tctx.Valid().
 func (sh *shard) applyLocked(op mpi.WireOp) mpi.WireReply {
 	s := sh.srv
 	rep := mpi.WireReply{Kind: op.Kind, Status: mpi.WireOK}
 	switch op.Kind {
 	case mpi.WireArrive:
-		tctx := s.adoptTrace(op, fmt.Sprintf("msg tag=%d", op.Tag))
+		tctx := s.adoptTrace(op)
+		traced := tctx.Valid()
 		pid := int(op.Rank)
 		if pid < 0 {
 			pid = 0
@@ -932,8 +941,10 @@ func (sh *shard) applyLocked(op mpi.WireOp) mpi.WireReply {
 				s.nacks.Add(1)
 				s.cNacks.Inc()
 				rep.Status = mpi.WireNack
-				s.tr.Instant(tctx, ctrace.LaneWire, pid, "ingress-nack", s.hostNS())
-				s.tr.MarkFault(tctx.Trace)
+				if traced {
+					s.tr.Instant(tctx, ctrace.LaneWire, pid, "ingress-nack", s.hostNS())
+					s.tr.MarkFault(tctx.Trace)
+				}
 				return rep
 			}
 			if fate.Duplicated {
@@ -941,50 +952,65 @@ func (sh *shard) applyLocked(op mpi.WireOp) mpi.WireReply {
 				// (one frame, one engine delivery) suppresses it.
 				s.dupSuppressed.Add(1)
 				s.cDups.Inc()
-				s.tr.Instant(tctx, ctrace.LaneWire, pid, "dup-suppressed", s.hostNS())
-				s.tr.MarkFault(tctx.Trace)
+				if traced {
+					s.tr.Instant(tctx, ctrace.LaneWire, pid, "dup-suppressed", s.hostNS())
+					s.tr.MarkFault(tctx.Trace)
+				}
 			}
 		}
 		env := match.Envelope{Rank: op.Rank, Tag: op.Tag, Ctx: op.Ctx}
-		at := s.hostNS()
+		var at float64
+		if traced {
+			at = s.hostNS()
+		}
 		sh.pmu.SetTraceContext(op.Trace, op.Span)
 		req, outcome, cy := sh.en.ArriveFull(env, op.Handle)
 		rep.Outcome = byte(outcome)
 		rep.Handle = req
 		rep.Cycles = cy
-		s.tr.Complete(tctx, ctrace.LaneEngine, pid, "arrive",
-			at, sh.en.CyclesToNanos(cy),
-			ctrace.KV{K: "outcome", V: outcome.String()})
-		switch outcome {
-		case engine.ArriveRefused:
+		if outcome == engine.ArriveRefused {
 			rep.Status = mpi.WireBusy
-			s.tr.Instant(tctx, ctrace.LaneDaemon, pid, "busy-nack", s.hostNS())
-			s.tr.MarkFault(tctx.Trace)
-		case engine.ArriveMatched:
-			s.tr.Finish(tctx.Trace, s.hostNS(), "matched")
+		}
+		if traced {
+			s.tr.Complete(tctx, ctrace.LaneEngine, pid, "arrive",
+				at, sh.en.CyclesToNanos(cy),
+				ctrace.KV{K: "outcome", V: outcome.String()})
+			switch outcome {
+			case engine.ArriveRefused:
+				s.tr.Instant(tctx, ctrace.LaneDaemon, pid, "busy-nack", s.hostNS())
+				s.tr.MarkFault(tctx.Trace)
+			case engine.ArriveMatched:
+				s.tr.Finish(tctx.Trace, s.hostNS(), "matched")
+			}
 		}
 		// The arrive reached the engine (refusals included — they tick
 		// engine counters); ingress NACKs returned above and stay out of
 		// the journal.
 		sh.noteApplied(op, rep)
 	case mpi.WirePost:
-		tctx := s.adoptTrace(op, fmt.Sprintf("msg tag=%d", op.Tag))
+		tctx := s.adoptTrace(op)
+		traced := tctx.Valid()
 		pid := int(op.Rank)
 		if pid < 0 {
 			pid = 0
 		}
-		at := s.hostNS()
+		var at float64
+		if traced {
+			at = s.hostNS()
+		}
 		msg, matched, cy := sh.en.PostRecv(int(op.Rank), int(op.Tag), op.Ctx, op.Handle)
 		if matched {
 			rep.Outcome = 1
 			rep.Handle = msg
 		}
 		rep.Cycles = cy
-		s.tr.Complete(tctx, ctrace.LaneEngine, pid, "post",
-			at, sh.en.CyclesToNanos(cy),
-			ctrace.KV{K: "matched", V: fmt.Sprintf("%v", matched)})
-		if matched {
-			s.tr.Finish(tctx.Trace, s.hostNS(), "matched")
+		if traced {
+			s.tr.Complete(tctx, ctrace.LaneEngine, pid, "post",
+				at, sh.en.CyclesToNanos(cy),
+				ctrace.KV{K: "matched", V: strconv.FormatBool(matched)})
+			if matched {
+				s.tr.Finish(tctx.Trace, s.hostNS(), "matched")
+			}
 		}
 		sh.noteApplied(op, rep)
 	default:

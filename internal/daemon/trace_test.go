@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"spco/internal/ctrace"
+	"spco/internal/mpi"
 )
 
 // TestDebugTrace drives a live daemon with traced load and checks the
@@ -116,4 +118,60 @@ func TestDefaultFlightRecorder(t *testing.T) {
 		t.Fatal("default flight recorder retained nothing")
 	}
 	stopAndWait(t, srv, errc)
+}
+
+// TestTracedPairSpans pins what a traced op records, which guarding
+// the untraced path must not change: the trace's root span is named
+// "msg tag=N", the engine spans are "arrive" with its outcome and
+// "post" with matched=true|false, and the matching op finishes the
+// trace with status "matched". An untraced pair records nothing.
+func TestTracedPairSpans(t *testing.T) {
+	srv, _, errc := testServer(t, func(c *Config) {
+		c.Trace = ctrace.New(ctrace.Options{KeepAll: true})
+	})
+	defer stopAndWait(t, srv, errc)
+	cl, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	must := func(_ mpi.WireReply, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(cl.PostTraced(2, 41, 1, 7, 900)) // post first: the arrive matches
+	must(cl.ArriveTraced(2, 41, 1, 9, 900))
+	must(cl.ArriveTraced(3, 42, 1, 11, 901)) // arrive first: the post matches
+	must(cl.PostTraced(3, 42, 1, 12, 901))
+	must(cl.Post(4, 43, 1, 13)) // untraced
+	must(cl.Arrive(4, 43, 1, 14))
+
+	type span struct{ name, args string }
+	want := map[uint64][]span{
+		900: {{"post", "matched=false"}, {"arrive", "outcome=matched"}, {"msg tag=41", "status=matched"}},
+		901: {{"arrive", "outcome=queued"}, {"post", "matched=true"}, {"msg tag=42", "status=matched"}},
+	}
+	traces := srv.tr.Retained()
+	if len(traces) != len(want) {
+		t.Fatalf("recorder retained %d traces, want %d (the untraced pair must leave none)", len(traces), len(want))
+	}
+	for _, tr := range traces {
+		var got []span
+		for _, ev := range tr.Events {
+			var args []string
+			for _, kv := range ev.Args {
+				args = append(args, kv.K+"="+kv.V)
+			}
+			got = append(got, span{ev.Name, strings.Join(args, ",")})
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want[tr.ID]) {
+			t.Errorf("trace %d recorded %v, want %v", tr.ID, got, want[tr.ID])
+		}
+		if tr.Status != "matched" {
+			t.Errorf("trace %d finished %q, want matched", tr.ID, tr.Status)
+		}
+	}
 }

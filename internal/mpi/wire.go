@@ -156,31 +156,45 @@ const (
 	wireReplySize = 1 + 1 + 1 + 8 + 8 + 4 + 4 + 2
 )
 
-// WireOpSize is the fixed op frame length, exported for codecs that
-// embed op frames in their own records (the daemon's op journal).
-const WireOpSize = wireOpSize
+// WireOpSize and WireReplySize are the fixed frame lengths, exported
+// for codecs that embed frames in their own records (the daemon's op
+// journal and snapshot).
+const (
+	WireOpSize    = wireOpSize
+	WireReplySize = wireReplySize
+)
 
-// WriteWireOp writes one request frame.
-func WriteWireOp(w io.Writer, op WireOp) error {
-	var b [wireOpSize]byte
-	b[0] = op.Kind
-	binary.BigEndian.PutUint32(b[1:5], uint32(op.Rank))
-	binary.BigEndian.PutUint32(b[5:9], uint32(op.Tag))
-	binary.BigEndian.PutUint16(b[9:11], op.Ctx)
-	binary.BigEndian.PutUint64(b[11:19], op.Handle)
-	binary.BigEndian.PutUint64(b[19:27], math.Float64bits(op.DurationNS))
-	binary.BigEndian.PutUint64(b[27:35], op.Trace)
-	binary.BigEndian.PutUint64(b[35:43], op.Span)
-	binary.BigEndian.PutUint64(b[43:51], op.Seq)
-	_, err := w.Write(b[:])
-	return err
+// The codec core: AppendWireOp/ParseWireOp and AppendWireReply/
+// ParseWireReply are the only code that knows the byte layout of a
+// frame. They work on byte slices, so a caller that owns a buffer — a
+// bufio.Writer's free space, a bufio.Reader's unread bytes, a journal
+// record — encodes into it and decodes out of it with no copy and no
+// heap allocation. The io.Writer/io.Reader entry points below are thin
+// callers of the core.
+
+// AppendWireOp appends op's request frame to b.
+func AppendWireOp(b []byte, op WireOp) []byte {
+	n := len(b)
+	b = append(b, make([]byte, wireOpSize)...)
+	f := b[n:]
+	f[0] = op.Kind
+	binary.BigEndian.PutUint32(f[1:5], uint32(op.Rank))
+	binary.BigEndian.PutUint32(f[5:9], uint32(op.Tag))
+	binary.BigEndian.PutUint16(f[9:11], op.Ctx)
+	binary.BigEndian.PutUint64(f[11:19], op.Handle)
+	binary.BigEndian.PutUint64(f[19:27], math.Float64bits(op.DurationNS))
+	binary.BigEndian.PutUint64(f[27:35], op.Trace)
+	binary.BigEndian.PutUint64(f[35:43], op.Span)
+	binary.BigEndian.PutUint64(f[43:51], op.Seq)
+	return b
 }
 
-// ReadWireOp reads one request frame.
-func ReadWireOp(r io.Reader) (WireOp, error) {
-	var b [wireOpSize]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return WireOp{}, err
+// ParseWireOp decodes the request frame at the start of b, rejecting
+// an unknown op kind; a b shorter than one frame is
+// io.ErrUnexpectedEOF.
+func ParseWireOp(b []byte) (WireOp, error) {
+	if len(b) < wireOpSize {
+		return WireOp{}, io.ErrUnexpectedEOF
 	}
 	op := WireOp{
 		Kind:       b[0],
@@ -199,26 +213,27 @@ func ReadWireOp(r io.Reader) (WireOp, error) {
 	return op, nil
 }
 
-// WriteWireReply writes one response frame.
-func WriteWireReply(w io.Writer, rep WireReply) error {
-	var b [wireReplySize]byte
-	b[0] = rep.Kind
-	b[1] = rep.Status
-	b[2] = rep.Outcome
-	binary.BigEndian.PutUint64(b[3:11], rep.Handle)
-	binary.BigEndian.PutUint64(b[11:19], rep.Cycles)
-	binary.BigEndian.PutUint32(b[19:23], rep.PRQLen)
-	binary.BigEndian.PutUint32(b[23:27], rep.UMQLen)
-	binary.BigEndian.PutUint16(b[27:29], rep.Credits)
-	_, err := w.Write(b[:])
-	return err
+// AppendWireReply appends rep's response frame to b.
+func AppendWireReply(b []byte, rep WireReply) []byte {
+	n := len(b)
+	b = append(b, make([]byte, wireReplySize)...)
+	f := b[n:]
+	f[0] = rep.Kind
+	f[1] = rep.Status
+	f[2] = rep.Outcome
+	binary.BigEndian.PutUint64(f[3:11], rep.Handle)
+	binary.BigEndian.PutUint64(f[11:19], rep.Cycles)
+	binary.BigEndian.PutUint32(f[19:23], rep.PRQLen)
+	binary.BigEndian.PutUint32(f[23:27], rep.UMQLen)
+	binary.BigEndian.PutUint16(f[27:29], rep.Credits)
+	return b
 }
 
-// ReadWireReply reads one response frame.
-func ReadWireReply(r io.Reader) (WireReply, error) {
-	var b [wireReplySize]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return WireReply{}, err
+// ParseWireReply decodes the response frame at the start of b; a b
+// shorter than one frame is io.ErrUnexpectedEOF.
+func ParseWireReply(b []byte) (WireReply, error) {
+	if len(b) < wireReplySize {
+		return WireReply{}, io.ErrUnexpectedEOF
 	}
 	return WireReply{
 		Kind:    b[0],
@@ -230,6 +245,110 @@ func ReadWireReply(r io.Reader) (WireReply, error) {
 		UMQLen:  binary.BigEndian.Uint32(b[23:27]),
 		Credits: binary.BigEndian.Uint16(b[27:29]),
 	}, nil
+}
+
+// frameRoom returns w as a *bufio.Writer with at least n bytes free
+// (flushing first when its free tail is shorter), so the caller encodes
+// an n-byte frame straight into bw.AvailableBuffer(). It returns nil
+// for any other writer — a hash, a bytes.Buffer, a bare conn, a
+// bufio.Writer smaller than the frame — which gets the frame from a
+// stack array instead (one that escapes through the interface call).
+func frameRoom(w io.Writer, n int) (*bufio.Writer, error) {
+	bw, ok := w.(*bufio.Writer)
+	if !ok || bw.Size() < n {
+		return nil, nil
+	}
+	if bw.Available() < n {
+		return bw, bw.Flush()
+	}
+	return bw, nil
+}
+
+// peekFrame returns r as a *bufio.Reader along with its next n unread
+// bytes, uncopied; the caller decodes them and then Discards. Errors
+// follow io.ReadFull's contract: io.EOF only before the first byte,
+// io.ErrUnexpectedEOF inside the frame, the partial bytes consumed. It
+// returns a nil reader for anything else, including a bufio.Reader
+// smaller than the frame, which takes the copying path.
+func peekFrame(r io.Reader, n int) (*bufio.Reader, []byte, error) {
+	br, ok := r.(*bufio.Reader)
+	if !ok || br.Size() < n {
+		return nil, nil, nil
+	}
+	b, err := br.Peek(n)
+	if err != nil {
+		if err == io.EOF && len(b) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		br.Discard(len(b))
+	}
+	return br, b, err
+}
+
+// WriteWireOp writes one request frame.
+func WriteWireOp(w io.Writer, op WireOp) error {
+	bw, err := frameRoom(w, wireOpSize)
+	if err != nil {
+		return err
+	}
+	if bw != nil {
+		_, err = bw.Write(AppendWireOp(bw.AvailableBuffer(), op))
+		return err
+	}
+	var b [wireOpSize]byte
+	_, err = w.Write(AppendWireOp(b[:0], op))
+	return err
+}
+
+// ReadWireOp reads one request frame.
+func ReadWireOp(r io.Reader) (WireOp, error) {
+	br, b, err := peekFrame(r, wireOpSize)
+	if err != nil {
+		return WireOp{}, err
+	}
+	if br != nil {
+		op, err := ParseWireOp(b)
+		br.Discard(wireOpSize)
+		return op, err
+	}
+	var a [wireOpSize]byte
+	if _, err := io.ReadFull(r, a[:]); err != nil {
+		return WireOp{}, err
+	}
+	return ParseWireOp(a[:])
+}
+
+// WriteWireReply writes one response frame.
+func WriteWireReply(w io.Writer, rep WireReply) error {
+	bw, err := frameRoom(w, wireReplySize)
+	if err != nil {
+		return err
+	}
+	if bw != nil {
+		_, err = bw.Write(AppendWireReply(bw.AvailableBuffer(), rep))
+		return err
+	}
+	var b [wireReplySize]byte
+	_, err = w.Write(AppendWireReply(b[:0], rep))
+	return err
+}
+
+// ReadWireReply reads one response frame.
+func ReadWireReply(r io.Reader) (WireReply, error) {
+	br, b, err := peekFrame(r, wireReplySize)
+	if err != nil {
+		return WireReply{}, err
+	}
+	if br != nil {
+		rep, err := ParseWireReply(b)
+		br.Discard(wireReplySize)
+		return rep, err
+	}
+	var a [wireReplySize]byte
+	if _, err := io.ReadFull(r, a[:]); err != nil {
+		return WireReply{}, err
+	}
+	return ParseWireReply(a[:])
 }
 
 // wireBatchHeaderSize is the batch frame header: the WireBatch marker
@@ -245,24 +364,53 @@ const wireBatchHeaderSize = 1 + 4
 // wrapped error.
 var ErrBatchTruncated = errors.New("mpi: batch frame truncated")
 
+// appendBatchHeader appends the header of an n-op batch frame to b.
+func appendBatchHeader(b []byte, n int) []byte {
+	return binary.BigEndian.AppendUint32(append(b, WireBatch), uint32(n))
+}
+
 // WriteWireBatch writes one batch frame: header, then len(ops) op
 // frames back to back. The caller still owns flushing.
 func WriteWireBatch(w io.Writer, ops []WireOp) error {
 	if len(ops) == 0 || len(ops) > MaxWireBatch {
 		return fmt.Errorf("mpi: batch of %d ops (want 1..%d)", len(ops), MaxWireBatch)
 	}
-	var h [wireBatchHeaderSize]byte
-	h[0] = WireBatch
-	binary.BigEndian.PutUint32(h[1:5], uint32(len(ops)))
-	if _, err := w.Write(h[:]); err != nil {
+	bw, err := frameRoom(w, wireBatchHeaderSize+wireOpSize)
+	if err != nil {
 		return err
 	}
-	for i := range ops {
-		if err := WriteWireOp(w, ops[i]); err != nil {
+	if bw == nil {
+		var h [wireBatchHeaderSize]byte
+		if _, err := w.Write(appendBatchHeader(h[:0], len(ops))); err != nil {
 			return err
 		}
+		for i := range ops {
+			if err := WriteWireOp(w, ops[i]); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
-	return nil
+	// A frame can be many times the writer's buffer (MaxWireBatch ops are
+	// 209 KB): fill the free space with whole op frames, hand it over,
+	// flush, repeat.
+	b := appendBatchHeader(bw.AvailableBuffer(), len(ops))
+	for {
+		for len(ops) > 0 && cap(b)-len(b) >= wireOpSize {
+			b = AppendWireOp(b, ops[0])
+			ops = ops[1:]
+		}
+		if _, err := bw.Write(b); err != nil {
+			return err
+		}
+		if len(ops) == 0 {
+			return nil
+		}
+		if err := bw.Flush(); err != nil {
+			return err
+		}
+		b = bw.AvailableBuffer()
+	}
 }
 
 // ReadWireFrame reads the next frame — a single op or a v3 batch —
@@ -282,11 +430,13 @@ func ReadWireFrame(br *bufio.Reader, buf []WireOp) ([]WireOp, bool, error) {
 		}
 		return append(buf, op), false, nil
 	}
-	var h [wireBatchHeaderSize]byte
-	if _, err := io.ReadFull(br, h[:]); err != nil {
+	// bufio's smallest buffer (16 bytes) holds the header.
+	h, err := br.Peek(wireBatchHeaderSize)
+	if err != nil {
 		return buf, true, wrapBatchEOF(err)
 	}
 	n := binary.BigEndian.Uint32(h[1:5])
+	br.Discard(wireBatchHeaderSize)
 	if n == 0 || n > MaxWireBatch {
 		return buf, true, fmt.Errorf("mpi: batch count %d (want 1..%d)", n, MaxWireBatch)
 	}

@@ -41,7 +41,7 @@ import (
 //
 //	marker  u8   journalMarker (0xA7)
 //	session u64  owning session id (0: ephemeral connection)
-//	op      51B  the wire op frame, verbatim (mpi.WriteWireOp)
+//	op      51B  the wire op frame, verbatim (mpi.AppendWireOp)
 //	crc     u32  IEEE CRC32 over marker..op
 //
 // The record is exactly one cache line, and fixed-size records make
@@ -58,26 +58,15 @@ type JournalRecord struct {
 	Op      mpi.WireOp
 }
 
-// appendRecord encodes rec into b (which must have JournalRecordSize
-// capacity after len).
+// appendRecord appends rec's encoding to b; with JournalRecordSize
+// spare capacity in b it allocates nothing.
 func appendRecord(b []byte, rec JournalRecord) []byte {
 	start := len(b)
 	b = append(b, journalMarker)
 	b = binary.BigEndian.AppendUint64(b, rec.Session)
-	var opb [mpi.WireOpSize]byte
-	w := sliceWriter(opb[:0])
-	mpi.WriteWireOp(&w, rec.Op) // cannot fail: writes into memory
-	b = append(b, w...)
+	b = mpi.AppendWireOp(b, rec.Op)
 	b = binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b[start:]))
 	return b
-}
-
-// sliceWriter adapts an in-memory slice as an io.Writer.
-type sliceWriter []byte
-
-func (s *sliceWriter) Write(p []byte) (int, error) {
-	*s = append(*s, p...)
-	return len(p), nil
 }
 
 // decodeRecord decodes one fixed-size record. A marker, CRC, or op
@@ -93,28 +82,11 @@ func decodeRecord(b []byte) (JournalRecord, error) {
 	if got := crc32.ChecksumIEEE(b[:JournalRecordSize-4]); got != want {
 		return JournalRecord{}, fmt.Errorf("recov: journal CRC mismatch (%#x != %#x)", got, want)
 	}
-	var rec JournalRecord
-	rec.Session = binary.BigEndian.Uint64(b[1:9])
-	op, err := mpi.ReadWireOp(sliceReader(b[9 : 9+mpi.WireOpSize]))
+	op, err := mpi.ParseWireOp(b[9 : 9+mpi.WireOpSize])
 	if err != nil {
 		return JournalRecord{}, err
 	}
-	rec.Op = op
-	return rec, nil
-}
-
-// sliceReader adapts a byte slice as a one-shot io.Reader.
-func sliceReader(b []byte) io.Reader { return &oneShot{b: b} }
-
-type oneShot struct{ b []byte }
-
-func (r *oneShot) Read(p []byte) (int, error) {
-	if len(r.b) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b)
-	r.b = r.b[n:]
-	return n, nil
+	return JournalRecord{Session: binary.BigEndian.Uint64(b[1:9]), Op: op}, nil
 }
 
 // JournalWriter appends records to an open journal file. Each Append
@@ -337,9 +309,7 @@ func EncodeSnapshot(w io.Writer, s *Snapshot) error {
 		b = binary.BigEndian.AppendUint32(b, uint32(len(ss.Ring)))
 		for _, ra := range ss.Ring {
 			b = binary.BigEndian.AppendUint64(b, ra.Seq)
-			var w sliceWriter
-			mpi.WriteWireReply(&w, ra.Reply)
-			b = append(b, w...)
+			b = mpi.AppendWireReply(b, ra.Reply)
 		}
 	}
 	b = binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
@@ -404,7 +374,7 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 		}
 		for j := uint32(0); j < ringN && d.err == nil; j++ {
 			seq := d.u64()
-			rep, err := mpi.ReadWireReply(sliceReader(d.take(29)))
+			rep, err := mpi.ParseWireReply(d.take(mpi.WireReplySize))
 			if err != nil && d.err == nil {
 				d.err = err
 			}

@@ -2,6 +2,7 @@ package recov
 
 import (
 	"bytes"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"testing"
@@ -73,6 +74,45 @@ func TestJournalRoundTrip(t *testing.T) {
 // (the SIGKILL shape) must read back its clean prefix, and reopening
 // for append must truncate the tear so the next record extends the
 // clean prefix.
+// TestJournalRecordGolden pins the 64-byte record — marker, session,
+// the embedded op frame, CRC — to the bytes written before the record
+// codec called the wire codec core directly.
+func TestJournalRecordGolden(t *testing.T) {
+	rec := JournalRecord{Session: 0x0807060504030201, Op: mpi.WireOp{Kind: mpi.WirePost, Rank: -1, Tag: 77,
+		Ctx: 9, Handle: 0xabcdef, DurationNS: 2.5, Trace: 5, Span: 6, Seq: 1 << 40}}
+	const want = "a7080706050403020102ffffffff0000004d00090000000000abcdef4004000000000000" +
+		"000000000000000500000000000000060000010000000000b71625e3"
+	enc := appendRecord(nil, rec)
+	if got := hex.EncodeToString(enc); got != want {
+		t.Fatalf("record encoding moved:\n got  %s\n want %s", got, want)
+	}
+	if got, err := decodeRecord(enc); err != nil || got != rec {
+		t.Fatalf("decodeRecord: %+v, %v", got, err)
+	}
+}
+
+// TestJournalAppendZeroAlloc: a record is encoded into the writer's own
+// buffer and handed to write(2) — nothing per Append reaches the heap.
+func TestJournalAppendZeroAlloc(t *testing.T) {
+	w, err := OpenJournal(filepath.Join(t.TempDir(), "shard-000.journal"), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	rec := sampleOps(1)[0]
+	allocs := testing.AllocsPerRun(256, func() {
+		if e := w.Append(rec); e != nil {
+			err = e
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Errorf("JournalWriter.Append: %.2f allocs per record, want 0", allocs)
+	}
+}
+
 func TestJournalTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j")
 	w, err := OpenJournal(path, 1)
